@@ -20,7 +20,15 @@ import pytest
 
 from repro import obs
 from repro.circuits.engine import SCALAR_ENV
-from repro.experiments import figure10, retention_sweep, table1
+from repro.chaos import targets as chaos_probe
+from repro.experiments import (
+    figure10,
+    glitch_campaign,
+    noisy_rig,
+    probe_sweep,
+    retention_sweep,
+    table1,
+)
 
 SEED = 1234
 
@@ -93,3 +101,65 @@ class TestGoldenStability:
     def test_table1_pin(self, monkeypatch):
         monkeypatch.delenv(SCALAR_ENV, raising=False)
         assert _fingerprint(table1, 1) == self.TABLE1_FP
+
+
+#: The remaining ``repro.exec``-routed experiments, pinned observed at
+#: ``--jobs 1`` and ``--jobs 4`` (seed 1234, vector engine).  They are
+#: the contract any rewrite of the execution engine is checked against:
+#: dispatch, retry, and merge changes must leave every value untouched.
+#: ``glitch-campaign`` pins two different values because its
+#: ``glitch.min_rail_v`` histogram total is a float sum, and a pool run
+#: adds the per-shard partial sums instead of every observation in turn.
+EXEC_PINS = {
+    ("chaos-probe", 1): (
+        "2d8a8a0a5e5fa2d60a8e2f2a9ac4382a7dfffcd7283680793f240a223fda3069"
+    ),
+    ("chaos-probe", 4): (
+        "2d8a8a0a5e5fa2d60a8e2f2a9ac4382a7dfffcd7283680793f240a223fda3069"
+    ),
+    ("glitch-campaign", 1): (
+        "3f098c1dc4dffbdef1c1d3bcd818268b0b1fbc86e69f6d4c4506c33d97320249"
+    ),
+    ("glitch-campaign", 4): (
+        "60f489ed16a8c1c19a7ac92bc6af986b89d56c59c89f6400a3a0b7f0ad41659f"
+    ),
+    ("noisy-rig", 1): (
+        "577e3210776ccd91ac5dabf46d46047105037b1d5e990309b4ce270fedf01331"
+    ),
+    ("noisy-rig", 4): (
+        "577e3210776ccd91ac5dabf46d46047105037b1d5e990309b4ce270fedf01331"
+    ),
+    ("probe-sweep", 1): (
+        "f17738bc6b3802566bc88feb1c57114c899217eb05f73e0590ca0012997b04ae"
+    ),
+    ("probe-sweep", 4): (
+        "f17738bc6b3802566bc88feb1c57114c899217eb05f73e0590ca0012997b04ae"
+    ),
+}
+
+_EXEC_EXPERIMENTS = {
+    "chaos-probe": chaos_probe,
+    "glitch-campaign": glitch_campaign,
+    "noisy-rig": noisy_rig,
+    "probe-sweep": probe_sweep,
+}
+
+
+@pytest.mark.parametrize(
+    "name, jobs",
+    [
+        ("chaos-probe", 1),
+        ("chaos-probe", 4),
+        ("glitch-campaign", 1),
+        ("glitch-campaign", 4),
+        # The serial noisy-rig and probe-sweep legs take ~10 s each.
+        pytest.param("noisy-rig", 1, marks=pytest.mark.slow),
+        ("noisy-rig", 4),
+        pytest.param("probe-sweep", 1, marks=pytest.mark.slow),
+        ("probe-sweep", 4),
+    ],
+)
+def test_exec_experiment_pin(name, jobs, monkeypatch):
+    monkeypatch.delenv(SCALAR_ENV, raising=False)
+    fingerprint = _fingerprint(_EXEC_EXPERIMENTS[name], jobs)
+    assert fingerprint == EXEC_PINS[(name, jobs)]
