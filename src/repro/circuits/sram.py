@@ -228,18 +228,6 @@ class SramArray:
         """
         return self._wake_p.astype(np.float32)
 
-    def noisy_cell_mask(self) -> np.ndarray:
-        """Cells whose power-up state is effectively a coin flip.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``bool[n_bits]`` mask of metastable cells (wake probability
-            inside ``(0.2, 0.8)``).
-        """
-        wake = self._wake_p.astype(np.float32)
-        return (wake > 0.2) & (wake < 0.8)
-
     # ------------------------------------------------------------------
     # Aging (NBTI imprinting — paper §9.2)
     # ------------------------------------------------------------------

@@ -1,36 +1,45 @@
-"""Deterministic parallel dispatch of a :class:`~repro.exec.plan.ShardPlan`.
+"""Deterministic dispatch of a :class:`~repro.exec.plan.ShardPlan`.
 
-:func:`execute` shards a plan's work units over a supervised pool of
-worker processes (:mod:`repro.exec.supervise`) and merges the results
-back **in unit order**, so ``jobs=N`` is byte-identical to ``jobs=1``
-for every experiment (the jobs-equivalence tests assert this).  The
-engine adds:
+:func:`execute` is one pipeline, whatever the ``jobs`` count and
+whether a checkpoint policy is installed:
 
-* **per-shard timeout** — a shard that exceeds ``timeout_s`` is
-  SIGKILLed on the pool and re-attempted;
-* **heartbeat hang detection** — a worker that completes no unit
-  within the supervision policy's ``hang_timeout_s`` is killed and
-  re-attempted, instead of stalling the campaign forever;
-* **crash containment** — one worker dying (``kill -9``, OOM) costs
-  only its own shard; the survivors keep running;
-* **bounded retry** — a failed, timed-out, hung, or crashed shard is
-  re-run serially in the parent (where a deterministic unit cannot
-  fail differently twice for transient reasons); each round records a
-  *simulated* exponential backoff (``exec.backoff_s`` — nothing
-  sleeps), and after ``retries`` re-attempts the shard raises
-  :class:`~repro.errors.ShardError` — or, under a quarantine-enabled
-  supervision policy, degrades to per-unit quarantine records so the
-  campaign completes with a structured partial result;
-* **typed failure taxonomy** — every survived failure is classified
-  (:func:`repro.errors.failure_class`) and counted under
-  ``exec.failures{failure_class=...}``;
-* **graceful serial fallback** — if no worker can be spawned at all,
-  the plan runs serially in-process and the run still completes (an
-  ``exec.fallback`` trace event records the downgrade);
-* **per-shard observability** — each worker traces an ``exec.shard``
-  span and collects its own metrics registry; the parent adopts the
-  span records and merges the metric dumps, so a sharded run still
-  produces one schema-versioned run manifest.
+1. **remaining units** — every unit of the plan, or, on ``--resume``,
+   the units the checkpoint journal is missing;
+2. **dispatch** — serially in-process (``jobs=1``, a single remaining
+   unit, or no worker could be spawned at all), or chunked into shards
+   on the supervised worker pool (:mod:`repro.exec.supervise`);
+3. **records** — each finished unit becomes a
+   :class:`~repro.exec.journal.UnitRecord` (or a quarantine record);
+4. **sink** — each record is banked in memory and, under a checkpoint
+   policy, appended to the fsync'd
+   :class:`~repro.exec.journal.CheckpointJournal` (a journal write
+   failure degrades the sink to the in-memory bank alone);
+5. **merge** — results, pool observability, and quarantine incidents
+   fold back **in unit order**, so ``jobs=N`` is byte-identical to
+   ``jobs=1`` (the jobs-equivalence tests assert this).
+
+Observability is captured where the merge needs it and nowhere else.
+An unjournalled serial run writes straight into the live registry
+(no per-unit registry swap, no clock read when observability is off).
+A pool worker captures its whole shard — one ``exec.shard`` span and
+one ``exec.shard_wall_s`` sample per shard — and the parent merges the
+shard dumps in shard order.  A journalled unit is captured on its own
+(:func:`_capture_unit`), so a resumed campaign folds banked and fresh
+units into the metrics state an uninterrupted run produces.
+
+**One retry rule** (:func:`_run_units`): each unit gets at most
+``retries + 1`` runs on every path.  A failed pool shard counts as one
+failure of the unit that raised (the worker ships back the units it
+finished before it); a crash, hang, or timeout cannot name its unit and
+counts against the shard's first unfinished unit.  Every failure is
+classified (:func:`repro.errors.failure_class`, counted under
+``exec.failures{failure_class=...}``) and every re-attempt records a
+*simulated* backoff (``exec.backoff_s`` — nothing sleeps).  An
+exhausted unit raises :class:`~repro.errors.ShardError`, or — under a
+quarantine-enabled supervision policy — becomes a quarantine record so
+the campaign completes with a structured partial result.  Re-attempts
+run serially in the parent, where a deterministic unit cannot fail
+differently for transient reasons.
 
 Workers quarantine the observability state they inherit across the
 process fork (:meth:`~repro.obs.Observability.quarantine_fork`), so a
@@ -60,20 +69,18 @@ from .journal import CheckpointJournal, UnitRecord, plan_fingerprint
 from .plan import ShardPlan, WorkUnit
 from .runtime import SupervisionPolicy
 
+#: Runs one unit and returns its record (bare or captured).
+UnitRunner = Callable[[WorkUnit], UnitRecord]
+
 
 @dataclass
 class _ShardTask:
-    """What ships to a worker: one shard of units plus capture intent.
-
-    ``per_unit`` switches the worker to checkpoint-grade capture: one
-    metrics dump and span batch *per unit* (instead of per shard), so
-    the parent can journal each unit independently.
-    """
+    """What ships to a worker: one shard of units and how to run each."""
 
     shard_index: int
     units: tuple[WorkUnit, ...]
     capture: bool
-    per_unit: bool = False
+    run: UnitRunner
 
     def describe(self) -> str:
         """Label for errors/events: the shard and its unit labels."""
@@ -83,29 +90,33 @@ class _ShardTask:
 
 @dataclass
 class _ShardOutcome:
-    """What a worker ships back: indexed results plus observability."""
+    """What a worker ships back: the records it finished, the shard's
+    observability, and the unit failure that stopped it, if any."""
 
-    shard_index: int
-    results: list[tuple[int, Any]]
+    records: list[UnitRecord]
     wall_s: float
     metrics: dict[str, Any] | None = None
     spans: list[dict[str, Any]] = field(default_factory=list)
-    unit_records: list[UnitRecord] | None = None
+    failure: BaseException | None = None
 
 
-def _capture_unit(unit: WorkUnit, capture: bool) -> UnitRecord:
+def _run_bare(unit: WorkUnit) -> UnitRecord:
+    """Run one unit straight into the live observability state."""
+    return UnitRecord(index=unit.index, result=runtime.run_unit(unit))
+
+
+def _capture_unit(unit: WorkUnit) -> UnitRecord:
     """Run one unit with its own metrics registry and tracer.
 
-    Used by every checkpoint-mode path — the serial loop, the pool
-    workers, and serial re-attempts — so a unit's captured
-    observability is identical however it was dispatched.  The live
-    registry/tracer are swapped out for the duration (never reset:
-    the parent keeps its open trace writer and collected state).
+    The journalled runner, in the parent and in pool workers alike, so
+    a unit's captured observability is identical however it was
+    dispatched.  Units always capture — even when the parent runs
+    unobserved — so a later *observed* resume can still merge the
+    banked units into a complete manifest.  The live registry/tracer
+    are swapped out for the duration (never reset: the parent keeps
+    its open trace writer and collected state).
     """
     start = wall_clock()
-    if not capture:
-        return UnitRecord(index=unit.index, result=runtime.run_unit(unit),
-                          wall_s=wall_clock() - start)
     saved_enabled = OBS.enabled
     saved_metrics, saved_tracer = OBS.metrics, OBS.tracer
     OBS.metrics = MetricsRegistry()
@@ -130,33 +141,21 @@ def _capture_unit(unit: WorkUnit, capture: bool) -> UnitRecord:
 def _shard_worker(
     task: _ShardTask, heartbeat: Callable[[], None] | None = None
 ) -> _ShardOutcome:
-    """Run one shard in a worker process (also used for serial retry).
+    """Run one shard in a worker process.
 
     Module-level so the pool can pickle it by reference.  ``heartbeat``
-    is the supervisor's per-unit progress tick — called after every
+    is the supervisor's per-unit progress tick, called after every
     completed unit so the parent can tell a busy worker from a hung
-    one; serial callers leave it unset.
+    one.  A unit that raises stops the shard; the outcome still ships,
+    carrying the units finished before it and the failure, so the
+    parent re-attempts only from the unit that raised.
     """
     OBS.quarantine_fork()
-    tick = heartbeat if heartbeat is not None else (lambda: None)
-    if task.per_unit:
-        start = wall_clock()
-        records = []
-        for unit in task.units:
-            records.append(_capture_unit(unit, task.capture))
-            tick()
-        outcome = _ShardOutcome(
-            shard_index=task.shard_index,
-            results=[(record.index, record.result) for record in records],
-            wall_s=wall_clock() - start,
-            unit_records=records,
-        )
-        OBS.quarantine_fork()
-        return outcome
     if task.capture:
         OBS.configure()
+    records: list[UnitRecord] = []
+    failure = None
     start = wall_clock()
-    results: list[tuple[int, Any]] = []
     with OBS.span(
         "exec.shard", shard=task.shard_index, units=len(task.units)
     ) as span:
@@ -164,16 +163,21 @@ def _shard_worker(
             "labels", [unit.describe() for unit in task.units]
         )
         for unit in task.units:
-            results.append((unit.index, runtime.run_unit(unit)))
-            tick()
+            try:
+                records.append(task.run(unit))
+            except Exception as error:
+                failure = error
+                break
+            if heartbeat is not None:
+                heartbeat()
     outcome = _ShardOutcome(
-        shard_index=task.shard_index,
-        results=results,
+        records=records,
         wall_s=wall_clock() - start,
         metrics=OBS.metrics.dump() if task.capture else None,
         spans=[s.to_record() for s in OBS.tracer.finished]
         if task.capture
         else [],
+        failure=failure,
     )
     OBS.quarantine_fork()
     return outcome
@@ -194,10 +198,10 @@ def execute(
     processes.  Both paths return the same bytes.  ``timeout_s``
     bounds each shard's time on the pool (serial re-attempts are not
     timed — the parent cannot interrupt itself); ``retries`` bounds
-    re-attempts per shard before :class:`~repro.errors.ShardError` is
+    re-attempts per unit before :class:`~repro.errors.ShardError` is
     raised — or, when the installed
     :class:`~repro.exec.runtime.SupervisionPolicy` enables
-    ``quarantine``, before the failing units are quarantined (result
+    ``quarantine``, before the failing unit is quarantined (result
     ``None`` plus an incident in the runtime ledger) and the campaign
     completes partially.
 
@@ -205,7 +209,10 @@ def execute(
     (:mod:`repro.exec.runtime`), the call journals every completed
     unit to an append-only file and, on resume, runs only the units
     the journal is missing — with a final metrics state identical to
-    an uninterrupted run.
+    an uninterrupted run.  A :class:`~repro.errors.SimulatedFailure`
+    (chaos hard-crash) or SIGINT then closes the journal and raises
+    :class:`~repro.errors.CampaignInterrupted`, which points at
+    ``--resume``.
     """
     jobs = int(jobs)
     if jobs < 1:
@@ -216,7 +223,6 @@ def execute(
         return []
     capture = OBS.enabled
     policy = runtime.checkpoint_policy()
-    supervision = runtime.supervision_policy()
     with OBS.span("exec.run", jobs=jobs, units=len(plan)):
         if capture:
             OBS.counter_inc("exec.units", len(plan))
@@ -226,246 +232,146 @@ def execute(
         # fingerprints strip, so jobs-equivalence is untouched.  The
         # disabled path reads no clock at all.
         start = wall_clock() if capture else 0.0
+        records: dict[int, UnitRecord] = {}
+        journal = None
+        if policy is not None:
+            journal = CheckpointJournal(
+                runtime.claim_journal_path(), plan_fingerprint(plan), len(plan)
+            )
+            if policy.resume:
+                records.update(journal.load_resume())
+            journal.start(fresh=not records)
+            if capture and records:
+                OBS.counter_inc("exec.resumed_units", len(records))
+                OBS.event(
+                    "exec.resume",
+                    journal=journal.path,
+                    resumed=len(records),
+                    total=len(plan),
+                )
+
+        def sink(record: UnitRecord) -> None:
+            if journal is not None:
+                _journal(journal, record, capture)
+            records[record.index] = record
+
+        remaining = [unit for unit in plan.units if unit.index not in records]
         try:
-            if policy is not None:
-                return _run_checkpointed(
-                    plan,
-                    jobs,
-                    timeout_s=timeout_s,
-                    retries=retries,
-                    chunk_size=chunk_size,
-                    journal_path=runtime.claim_journal_path(),
-                    resume=policy.resume,
-                    capture=capture,
-                    supervision=supervision,
-                )
-            if jobs == 1 or len(plan) == 1:
-                return _run_serial(
-                    plan.units, retries=retries, supervision=supervision
-                )
-            shards = plan.shards(jobs, chunk_size)
-            tasks = [
-                _ShardTask(shard_index=i, units=shard, capture=capture)
-                for i, shard in enumerate(shards)
-            ]
-            if capture:
-                OBS.counter_inc("exec.shards", len(tasks))
-            try:
-                outcomes, failures = supervise.run_supervised(
-                    tasks,
-                    jobs=min(jobs, len(tasks)),
-                    timeout_s=timeout_s,
-                    policy=supervision,
-                    worker_fn=_shard_worker,
-                )
-            except PoolUnavailable as error:
-                # No pool at all: run everything serially in-process.
-                # The downgrade itself is not a shard failure, so it
-                # does not count against the retry budget.
-                _note_fallback(error)
-                return _run_serial(
-                    plan.units, retries=retries, supervision=supervision
-                )
-            _note_failures(failures, timeout_s)
-            for task, cause in failures:
-                outcomes[task.shard_index] = _reattempt(
-                    task, retries, cause, supervision
-                )
-            _merge_observability(outcomes, capture)
-            return _merge_results(plan, outcomes)
+            shard_outcomes = _dispatch(
+                plan,
+                remaining,
+                jobs,
+                chunk_size=chunk_size,
+                timeout_s=timeout_s,
+                retries=retries,
+                capture=capture,
+                run=_run_bare if journal is None else _capture_unit,
+                sink=sink,
+            )
+        except (KeyboardInterrupt, SimulatedFailure) as error:
+            if journal is None:
+                raise
+            raise CampaignInterrupted(
+                journal.path, len(records), len(plan)
+            ) from error
         finally:
+            if journal is not None:
+                journal.close()
             if capture:
                 observe_rate("exec.units", len(plan), wall_clock() - start)
+        if capture and journal is not None:
+            OBS.counter_inc("exec.checkpointed_units", journal.units_written)
+            OBS.gauge_set("exec.journal_bytes", journal.bytes_written)
+        return _merge(plan, records, shard_outcomes, capture)
 
 
-# ----------------------------------------------------------------------
-# Checkpointed path (a runtime checkpoint policy is installed)
-# ----------------------------------------------------------------------
+def _journal(
+    journal: CheckpointJournal, record: UnitRecord, capture: bool
+) -> None:
+    """Append one record; a write failure degrades to the memory bank.
+
+    A disk accident (ENOSPC, I/O error) does not abort the campaign:
+    the run completes from the in-memory bank, and the degradation
+    lands in the runtime incident ledger so the CLI can exit with its
+    documented degraded code.
+    """
+    try:
+        journal.append(record)
+    except JournalWriteError as error:
+        journal.degrade(error)
+        runtime.note_incident(
+            runtime.Incident(
+                kind="journal-degraded",
+                failure_class=error.failure_class,
+                detail={
+                    "journal": journal.path,
+                    "failure_class": error.failure_class,
+                    "error": str(error),
+                },
+            )
+        )
+        if capture:
+            OBS.counter_inc(
+                "exec.journal_failures", failure_class=error.failure_class
+            )
+            OBS.event(
+                "exec.journal-degraded",
+                journal=journal.path,
+                failure_class=error.failure_class,
+            )
 
 
-def _run_checkpointed(
+def _dispatch(
     plan: ShardPlan,
+    units: Sequence[WorkUnit],
     jobs: int,
     *,
+    chunk_size: int | None,
     timeout_s: float | None,
     retries: int,
-    chunk_size: int | None,
-    journal_path: str,
-    resume: bool,
     capture: bool,
-    supervision: SupervisionPolicy,
-) -> list[Any]:
-    """Execute with an append-only unit journal and optional resume.
+    run: UnitRunner,
+    sink: Callable[[UnitRecord], None],
+) -> list[_ShardOutcome]:
+    """Run ``units`` serially or on the pool; returns shard outcomes.
 
-    Every path (serial, pool, serial re-attempt) captures metrics and
-    spans *per unit* via :func:`_capture_unit` and merges them back in
-    unit-index order — so an interrupted-then-resumed campaign folds
-    resumed and freshly-run units into exactly the metrics state an
-    uninterrupted run produces, whatever ``jobs`` was either time.
-
-    A journal *write* failure (ENOSPC, I/O error) does not abort the
-    campaign: the journal degrades to an in-memory bank, the run
-    completes, and the degradation lands in the runtime incident
-    ledger so the CLI can exit with its documented degraded code.  A
-    :class:`~repro.errors.SimulatedFailure` (chaos hard-crash) is
-    treated exactly like SIGINT: the journal is closed and
-    :class:`~repro.errors.CampaignInterrupted` points at ``--resume``.
+    Every finished unit goes to ``sink`` — pool records the moment
+    their shard lands, so a journal banks progress throughout the
+    campaign.  The returned outcomes (in shard order) carry the
+    workers' captured observability for the merge; the serial path
+    returns none.
     """
-    journal = CheckpointJournal(journal_path, plan_fingerprint(plan), len(plan))
-    done = journal.load_resume() if resume else {}
-    # Units always journal their captured metrics/spans — even when the
-    # parent runs unobserved — so a later *observed* resume can still
-    # merge the banked units into a complete manifest.
-    capture_units = True
-    journal.start(fresh=not resume or not done)
-    if capture and done:
-        OBS.counter_inc("exec.resumed_units", len(done))
-        OBS.event(
-            "exec.resume",
-            journal=journal_path,
-            resumed=len(done),
-            total=len(plan),
-        )
-    records: dict[int, UnitRecord] = dict(done)
-    remaining = [unit for unit in plan.units if unit.index not in records]
+    supervision = runtime.supervision_policy()
 
-    def complete(record: UnitRecord) -> None:
-        try:
-            journal.append(record)
-        except JournalWriteError as error:
-            journal.degrade(error)
-            runtime.note_incident(
-                runtime.Incident(
-                    kind="journal-degraded",
-                    failure_class=error.failure_class,
-                    detail={
-                        "journal": journal_path,
-                        "failure_class": error.failure_class,
-                        "error": str(error),
-                    },
-                )
-            )
-            if capture:
-                OBS.counter_inc(
-                    "exec.journal_failures",
-                    failure_class=error.failure_class,
-                )
-                OBS.event(
-                    "exec.journal-degraded",
-                    journal=journal_path,
-                    failure_class=error.failure_class,
-                )
-        records[record.index] = record
+    def run_serially(
+        units: Sequence[WorkUnit],
+        charged: int = 0,
+        cause: BaseException | None = None,
+    ) -> None:
+        _run_units(units, charged, cause, retries, supervision, run, sink)
 
-    try:
-        if jobs == 1 or len(remaining) <= 1:
-            for unit in remaining:
-                complete(
-                    _attempt_unit(unit, capture_units, retries, supervision)
-                )
-        elif remaining:
-            _dispatch_checkpointed(
-                remaining, plan, jobs, timeout_s, retries, chunk_size,
-                capture_units, complete, supervision,
-            )
-    except (KeyboardInterrupt, SimulatedFailure) as error:
-        journal.close()
-        raise CampaignInterrupted(
-            journal_path, len(records), len(plan)
-        ) from error
-    finally:
-        journal.close()
-    if capture:
-        OBS.counter_inc("exec.checkpointed_units", journal.units_written)
-        OBS.gauge_set("exec.journal_bytes", journal.bytes_written)
-    missing = [u.describe() for u in plan.units if u.index not in records]
-    if missing:
-        raise ExecError(
-            f"journal outcomes missing {len(missing)} unit(s): "
-            + ", ".join(missing)
-        )
-    if capture:
-        for index in sorted(records):
-            record = records[index]
-            OBS.histogram_record("exec.shard_wall_s", record.wall_s)
-            if record.metrics is not None:
-                OBS.metrics.merge(record.metrics)
-            for span_record in record.spans:
-                OBS.tracer.adopt_record(span_record)
-    # Quarantined units surface from the *records* (not at quarantine
-    # time) so a resume that banked a quarantine record re-reports it.
-    for index in sorted(records):
-        if records[index].failure is not None:
-            _note_quarantine(records[index].failure)
-    return [records[index].result for index in range(len(plan))]
-
-
-def _attempt_unit(
-    unit: WorkUnit,
-    capture: bool,
-    retries: int,
-    supervision: SupervisionPolicy,
-) -> UnitRecord:
-    """Checkpoint-mode serial unit execution with bounded retries.
-
-    Mirrors the pool path's contract: every failure is classified,
-    each re-attempt round records its simulated backoff, and retry
-    exhaustion either raises :class:`~repro.errors.ShardError` or —
-    under a quarantine policy — returns a quarantine record so the
-    campaign completes partially.
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return _capture_unit(unit, capture)
-        except Exception as error:
-            _note_failures([(unit, error)], None)
-            if attempts > retries:
-                if supervision.quarantine:
-                    return _quarantine_record(unit, error)
-                raise ShardError(
-                    unit.describe(), attempts, repr(error)
-                ) from error
-            _note_retry(unit.describe(), attempts, supervision)
-
-
-def _dispatch_checkpointed(
-    remaining: Sequence[WorkUnit],
-    plan: ShardPlan,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    chunk_size: int | None,
-    capture: bool,
-    complete: "Callable[[UnitRecord], None]",
-    supervision: SupervisionPolicy,
-) -> None:
-    """Pool-dispatch the remaining units with per-unit journalling.
-
-    Each shard's unit records are journalled the moment its outcome
-    lands, so progress survives a crash at any point of the campaign.
-    Failed shards fall back to captured serial re-attempts, like the
-    non-checkpointed engine.
-    """
+    if jobs == 1 or len(units) <= 1:
+        run_serially(units)
+        return []
     size = plan.chunk_size(jobs, chunk_size)
-    shards = [
-        tuple(remaining[start : start + size])
-        for start in range(0, len(remaining), size)
-    ]
     tasks = [
-        _ShardTask(shard_index=i, units=shard, capture=capture, per_unit=True)
-        for i, shard in enumerate(shards)
+        _ShardTask(
+            shard_index=i,
+            units=tuple(units[start : start + size]),
+            capture=capture,
+            run=run,
+        )
+        for i, start in enumerate(range(0, len(units), size))
     ]
-    if OBS.enabled:
+    if capture:
         OBS.counter_inc("exec.shards", len(tasks))
 
     def on_outcome(outcome: _ShardOutcome) -> None:
-        for record in outcome.unit_records or []:
-            complete(record)
+        for record in outcome.records:
+            sink(record)
 
     try:
-        _, failures = supervise.run_supervised(
+        outcomes, failures = supervise.run_supervised(
             tasks,
             jobs=min(jobs, len(tasks)),
             timeout_s=timeout_s,
@@ -474,90 +380,70 @@ def _dispatch_checkpointed(
             on_outcome=on_outcome,
         )
     except PoolUnavailable as error:
+        # No pool at all: run everything serially in-process.  The
+        # downgrade itself is not a unit failure, so it does not count
+        # against the retry budget.
         _note_fallback(error)
-        for shard in shards:
-            for unit in shard:
-                complete(_attempt_unit(unit, capture, retries, supervision))
-        return
-    _note_failures(failures, timeout_s)
-    for task, cause in failures:
-        for record in _reattempt_captured(task, retries, cause, supervision):
-            complete(record)
+        run_serially(units)
+        return []
+    # Each failed shard resumes from its first unfinished unit, with
+    # the pool attempt charged to it; shards replay in shard order.
+    failed = {
+        task.shard_index: (task, task.units, cause)
+        for task, cause in failures
+    }
+    for index, outcome in outcomes.items():
+        if outcome.failure is not None:
+            rest = tasks[index].units[len(outcome.records) :]
+            failed[index] = (rest[0], rest, outcome.failure)
+    for index in sorted(failed):
+        culprit, rest, cause = failed[index]
+        _note_failure(culprit, cause, timeout_s)
+        run_serially(rest, charged=1, cause=cause)
+    return [outcomes[index] for index in sorted(outcomes)]
 
 
-def _reattempt_captured(
-    task: _ShardTask,
-    retries: int,
-    cause: BaseException,
-    supervision: SupervisionPolicy,
-) -> list[UnitRecord]:
-    """Checkpoint-mode serial re-attempt: per-unit captured records."""
-    attempts = 1  # the pool attempt
-    while attempts <= retries:
-        _note_retry(task.describe(), attempts, supervision)
-        attempts += 1
-        try:
-            return [_capture_unit(unit, task.capture) for unit in task.units]
-        except Exception as error:
-            cause = error
-            _note_failures([(task, error)], None)
-    if supervision.quarantine:
-        records = []
-        for unit in task.units:
-            try:
-                records.append(_capture_unit(unit, task.capture))
-            except Exception as error:
-                _note_failures([(unit, error)], None)
-                records.append(_quarantine_record(unit, error))
-        return records
-    raise ShardError(task.describe(), attempts, repr(cause)) from cause
-
-
-# ----------------------------------------------------------------------
-# Serial path (jobs=1 and the pool-unavailable fallback)
-# ----------------------------------------------------------------------
-
-
-def _run_serial(
+def _run_units(
     units: Sequence[WorkUnit],
-    retries: int = 0,
-    supervision: SupervisionPolicy | None = None,
-) -> list[Any]:
-    """Run units in order in the current process.
+    charged: int,
+    cause: BaseException | None,
+    retries: int,
+    supervision: SupervisionPolicy,
+    run: UnitRunner,
+    sink: Callable[[UnitRecord], None],
+) -> None:
+    """The engine's one retry loop: run ``units`` in order, in-process.
 
-    Metrics and spans land directly in the parent registry, so no
-    merge step is needed.  Failures follow the pool contract: each
-    failing unit is classified and re-attempted up to ``retries``
-    times with the same ``exec.retries`` counter and ``exec.retry``
-    events the pool path emits, then raises
-    :class:`~repro.errors.ShardError` — or quarantines the unit under
-    a quarantine policy — so a ``jobs=1`` run and a ``jobs=N`` run
-    produce the same results for the same flaky plan.
+    Each unit runs until it succeeds or has failed ``retries + 1``
+    times.  The first unit starts with ``charged`` failures already
+    counted (``cause`` the last of them) — zero on a serial run, one
+    when re-attempting a failed pool shard — so a unit gets the same
+    number of runs on every path.  Each failure is classified, each
+    re-attempt records its simulated backoff, and exhaustion raises
+    :class:`~repro.errors.ShardError` or, under a quarantine policy,
+    sinks a quarantine record and moves on to the next unit.
     """
-    if supervision is None:
-        supervision = runtime.supervision_policy()
-    results: dict[int, Any] = {}
     for unit in units:
-        attempts = 0
+        failures, charged = charged, 0
         while True:
-            attempts += 1
-            try:
-                results[unit.index] = runtime.run_unit(unit)
-                break
-            except Exception as error:
-                _note_failures([(unit, error)], None)
-                if attempts > retries:
-                    if supervision.quarantine:
-                        results[unit.index] = None
-                        _note_quarantine(
-                            _quarantine_record(unit, error).failure
-                        )
-                        break
+            if failures > retries:
+                if not supervision.quarantine:
                     raise ShardError(
-                        unit.describe(), attempts, repr(error)
-                    ) from error
-                _note_retry(unit.describe(), attempts, supervision)
-    return [results[index] for index in range(len(units))]
+                        unit.describe(), failures, repr(cause)
+                    ) from cause
+                sink(_quarantine_record(unit, cause))
+                break
+            if failures:
+                _note_retry(unit.describe(), failures, supervision)
+            try:
+                record = run(unit)
+            except Exception as error:
+                _note_failure(unit, error, None)
+                failures += 1
+                cause = error
+                continue
+            sink(record)
+            break
 
 
 # ----------------------------------------------------------------------
@@ -565,36 +451,33 @@ def _run_serial(
 # ----------------------------------------------------------------------
 
 
-def _note_failures(
-    failures: "Sequence[tuple[Any, BaseException]]",
-    timeout_s: float | None,
+def _note_failure(
+    subject: Any, cause: BaseException, timeout_s: float | None
 ) -> None:
-    """Classify and count every failure the engine is about to survive.
+    """Classify and count one failure the engine is about to survive.
 
-    Each failure increments ``exec.failures`` labelled with its
+    ``subject`` is the unit or shard that failed.  Each failure
+    increments ``exec.failures`` labelled with its
     :func:`repro.errors.failure_class`; timeouts, hangs, and crashes
     additionally keep their dedicated counters and trace events so
     existing dashboards stay meaningful.
     """
     if not OBS.enabled:
         return
-    for task, cause in failures:
-        OBS.counter_inc("exec.failures", failure_class=failure_class(cause))
-        if isinstance(cause, TimeoutError):
-            OBS.counter_inc("exec.timeouts")
-            OBS.event(
-                "exec.timeout", shard=task.describe(), timeout_s=timeout_s
-            )
-        elif isinstance(cause, WorkerHang):
-            OBS.counter_inc("exec.hangs")
-            OBS.event("exec.hang", shard=task.describe())
-        elif isinstance(cause, WorkerCrash):
-            OBS.counter_inc("exec.crashes")
-            OBS.event(
-                "exec.crash",
-                shard=task.describe(),
-                exitcode=cause.exitcode,
-            )
+    OBS.counter_inc("exec.failures", failure_class=failure_class(cause))
+    if isinstance(cause, TimeoutError):
+        OBS.counter_inc("exec.timeouts")
+        OBS.event(
+            "exec.timeout", shard=subject.describe(), timeout_s=timeout_s
+        )
+    elif isinstance(cause, WorkerHang):
+        OBS.counter_inc("exec.hangs")
+        OBS.event("exec.hang", shard=subject.describe())
+    elif isinstance(cause, WorkerCrash):
+        OBS.counter_inc("exec.crashes")
+        OBS.event(
+            "exec.crash", shard=subject.describe(), exitcode=cause.exitcode
+        )
 
 
 def _note_retry(
@@ -665,86 +548,41 @@ def _note_fallback(error: BaseException) -> None:
         OBS.event("exec.fallback", reason=repr(error))
 
 
-def _reattempt(
-    task: _ShardTask,
-    retries: int,
-    cause: BaseException,
-    supervision: SupervisionPolicy,
-) -> _ShardOutcome:
-    """Re-run a failed shard serially, up to ``retries`` more times."""
-    attempts = 1  # the pool attempt
-    while attempts <= retries:
-        _note_retry(task.describe(), attempts, supervision)
-        attempts += 1
-        try:
-            # Serial re-attempt in the parent: metrics/spans land
-            # directly in the live registry, so strip capture.
-            start = wall_clock()
-            results = [
-                (unit.index, runtime.run_unit(unit)) for unit in task.units
-            ]
-            return _ShardOutcome(
-                shard_index=task.shard_index,
-                results=results,
-                wall_s=wall_clock() - start,
-            )
-        except Exception as error:
-            cause = error
-            _note_failures([(task, error)], None)
-    if supervision.quarantine:
-        start = wall_clock()
-        results = []
-        for unit in task.units:
-            try:
-                results.append((unit.index, runtime.run_unit(unit)))
-            except Exception as error:
-                _note_failures([(unit, error)], None)
-                results.append((unit.index, None))
-                _note_quarantine(_quarantine_record(unit, error).failure)
-        return _ShardOutcome(
-            shard_index=task.shard_index,
-            results=results,
-            wall_s=wall_clock() - start,
-        )
-    raise ShardError(task.describe(), attempts, repr(cause)) from cause
-
-
 # ----------------------------------------------------------------------
 # Merging
 # ----------------------------------------------------------------------
 
 
-def _merge_observability(
-    outcomes: dict[int, _ShardOutcome], capture: bool
-) -> None:
-    """Fold worker-side metrics and spans into the parent registry.
-
-    Outcomes merge in shard order (= unit order), so last-write-wins
-    gauges resolve exactly as a serial run would.
-    """
-    if not capture:
-        return
-    for shard_index in sorted(outcomes):
-        outcome = outcomes[shard_index]
-        OBS.histogram_record("exec.shard_wall_s", outcome.wall_s)
-        if outcome.metrics is not None:
-            OBS.metrics.merge(outcome.metrics)
-        for record in outcome.spans:
-            OBS.tracer.adopt_record(record)
-
-
-def _merge_results(
-    plan: ShardPlan, outcomes: dict[int, _ShardOutcome]
+def _merge(
+    plan: ShardPlan,
+    records: dict[int, UnitRecord],
+    shard_outcomes: list[_ShardOutcome],
+    capture: bool,
 ) -> list[Any]:
-    """Reassemble per-unit results into plan order."""
-    by_unit: dict[int, Any] = {}
-    for outcome in outcomes.values():
-        for unit_index, value in outcome.results:
-            by_unit[unit_index] = value
-    missing = [u.describe() for u in plan.units if u.index not in by_unit]
+    """Fold records and worker observability back in unit order.
+
+    Shard outcomes merge in shard order (= unit order), then captured
+    unit records in index order, so last-write-wins gauges resolve
+    exactly as a serial run would.  Quarantined units surface from the
+    *records* (not at quarantine time) so a resume that banked a
+    quarantine record re-reports it, and every path reports them in
+    the same order.
+    """
+    missing = [u.describe() for u in plan.units if u.index not in records]
     if missing:
         raise ExecError(
-            f"shard outcomes missing {len(missing)} unit(s): "
-            + ", ".join(missing)
+            f"outcomes missing {len(missing)} unit(s): " + ", ".join(missing)
         )
-    return [by_unit[index] for index in range(len(plan))]
+    ordered = [records[index] for index in range(len(plan))]
+    if capture:
+        for outcome in shard_outcomes:
+            OBS.histogram_record("exec.shard_wall_s", outcome.wall_s)
+        for part in [*shard_outcomes, *ordered]:
+            if part.metrics is not None:
+                OBS.metrics.merge(part.metrics)
+            for span_record in part.spans:
+                OBS.tracer.adopt_record(span_record)
+    for record in ordered:
+        if record.failure is not None:
+            _note_quarantine(record.failure)
+    return [record.result for record in ordered]

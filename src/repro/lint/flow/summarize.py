@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from ..suppress import SuppressionMap, parse_suppressions
 
@@ -964,13 +964,3 @@ def is_timing_source(resolved: str) -> bool:
         resolved.startswith(_TIMING_MODULE + ".")
         and resolved.split(".")[-1] not in ("observe_rate", "profiled_phase")
     )
-
-
-def iter_all_functions(
-    summaries: dict[str, ModuleSummary]
-) -> Iterator[tuple[str, ModuleSummary, FunctionSummary]]:
-    """Yield ``(canonical_name, module_summary, fn_summary)`` triples."""
-    for module in sorted(summaries):
-        summary = summaries[module]
-        for qualname in sorted(summary.functions):
-            yield f"{module}.{qualname}", summary, summary.functions[qualname]
