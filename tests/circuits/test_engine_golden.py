@@ -22,12 +22,25 @@ from repro import obs
 from repro.circuits.engine import SCALAR_ENV
 from repro.chaos import targets as chaos_probe
 from repro.experiments import (
+    accessibility,
+    countermeasures,
+    dram_coldboot,
+    figure3,
+    figure7,
+    figure8,
+    figure9,
     figure10,
     glitch_campaign,
+    microarch_leak,
     noisy_rig,
+    platforms,
+    policy_ablation,
     probe_sweep,
+    registers,
     retention_sweep,
+    standby_retention,
     table1,
+    table4,
 )
 
 SEED = 1234
@@ -163,3 +176,96 @@ def test_exec_experiment_pin(name, jobs, monkeypatch):
     monkeypatch.delenv(SCALAR_ENV, raising=False)
     fingerprint = _fingerprint(_EXEC_EXPERIMENTS[name], jobs)
     assert fingerprint == EXEC_PINS[(name, jobs)]
+
+
+#: The experiments that do not run through ``repro.exec`` (their ``run``
+#: takes no ``jobs``, so ``--jobs`` leaves them serial), pinned observed
+#: at seed 1234 on the vector engine.  With ``EXEC_PINS`` and the
+#: stability pins above, every registered experiment has a golden
+#: fingerprint that a hot-path rewrite must leave untouched.
+SERIAL_PINS = {
+    "accessibility": (
+        "4ac28abc3b71401c04b23d79be1d86befffd48ba6cff982c8eed289bc5997f0a"
+    ),
+    "countermeasures": (
+        "a520185602d0c0e13838f462530ec0a87c10bd60204df3ded9b219340fe8a44c"
+    ),
+    "dram-coldboot": (
+        "5a4af186d0429c1e3628eed3c58e93528f0f65fef6227ccf607f2475012672bf"
+    ),
+    "figure3": (
+        "149bfb34f033a0c6c2b1ce34cf29c37c5e154053b535e0fd27cc11f4b042199d"
+    ),
+    "figure7": (
+        "23a6b79c2fe3bc5892bc0346bd419129ffeca5961dfb849746d32c50fde6bd38"
+    ),
+    "figure8": (
+        "0ee1aeacf97de0bcc19102e6508ab351e2da233c068df6450cfd8ec548adc671"
+    ),
+    "figure9": (
+        "b324a73e6d1468c13880ac803a6aff58d63354aa6caa0ab2e3dcc98322e0d149"
+    ),
+    "microarch-leak": (
+        "772223412d60e9152057105d806460a824072d08f33ac0b88f7fa996fa1189be"
+    ),
+    "platforms": (
+        "90892a518adce52e0cebb760f351f4834ee8435aa67dbea0c9f6c512aa404251"
+    ),
+    "policy-ablation": (
+        "11cb7353353f2399b3b509cac68a23f1fc2429945f28b9615120366879d48cb0"
+    ),
+    "registers": (
+        "e147efa9355547ecfb6b21dc9fa7a9e15c170553e1d9f440d90a736706a85170"
+    ),
+    "standby-retention": (
+        "be94d2477ae846967ec53bc144065dc94b7a2fbbbb523f18bb366025da55cfcd"
+    ),
+    "table4": (
+        "dfd7b2e4ba9250cb791b15e96f313ae5d460e82ef124aae8bf6e1e13af9d3602"
+    ),
+}
+
+_SERIAL_EXPERIMENTS = {
+    "accessibility": accessibility,
+    "countermeasures": countermeasures,
+    "dram-coldboot": dram_coldboot,
+    "figure3": figure3,
+    "figure7": figure7,
+    "figure8": figure8,
+    "figure9": figure9,
+    "microarch-leak": microarch_leak,
+    "platforms": platforms,
+    "policy-ablation": policy_ablation,
+    "registers": registers,
+    "standby-retention": standby_retention,
+    "table4": table4,
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "accessibility",
+        # These four take ~9-40 s each.
+        pytest.param("countermeasures", marks=pytest.mark.slow),
+        "dram-coldboot",
+        "figure3",
+        "figure7",
+        "figure8",
+        "figure9",
+        "microarch-leak",
+        "platforms",
+        pytest.param("policy-ablation", marks=pytest.mark.slow),
+        "registers",
+        pytest.param("standby-retention", marks=pytest.mark.slow),
+        pytest.param("table4", marks=pytest.mark.slow),
+    ],
+)
+def test_serial_experiment_pin(name, monkeypatch):
+    monkeypatch.delenv(SCALAR_ENV, raising=False)
+    with obs.capture() as o:
+        _SERIAL_EXPERIMENTS[name].run(seed=SEED)
+        manifest = o.last_manifest
+        assert manifest is not None
+        manifest.validate()
+        assert manifest.fingerprint() == SERIAL_PINS[name]
