@@ -4,10 +4,17 @@ The simulation's credibility rests on invariants Python cannot enforce
 at runtime: all entropy derives from one seed (RL001), quantities stay
 in SI units (RL002), failures surface through the ``ReproError``
 taxonomy (RL003), physics paths never compare floats exactly (RL004),
-and observability names come from one taxonomy (RL005).  This package
-checks them statically, with a pluggable rule framework, a
-``repro-lint`` console script, per-line ``# repro-lint: ignore[RULE]``
-suppressions, and ``[tool.repro-lint]`` configuration.
+observability names come from one taxonomy (RL005), and wall-clock
+reads go through ``repro.obs.timing`` (RL006).  This package checks
+them statically, with a small rule framework, a ``repro-lint`` console
+script, and per-line ``# repro-lint: ignore[RULE]`` suppressions.
+
+RL001 and RL006 overlap on purpose.  Inside ``src/`` RL001 bans
+``import time`` outright, which is strictly stronger than RL006's ban
+on clock reads.  RL006 is the only clock rule for ``tools/``,
+``benchmarks/`` and ``tests/``, where ``import time`` is legitimate for
+``time.sleep``; folding the two would loosen ``src/`` or break that
+harness sweep.
 
 On top of the per-file rules sits a project-wide *flow* layer
 (:mod:`repro.lint.flow`): every module is distilled into a
@@ -16,76 +23,26 @@ unordered iterations, timing taint), the summaries are linked into a
 :class:`~repro.lint.flow.ProjectModel` with a cross-module call graph,
 and interprocedural rules check it — shard-race freedom (RL007),
 iteration-order determinism (RL008), and fingerprint purity (RL009).
-``repro-lint --project`` runs both families, with a content-addressed
-summary cache and optional finding baselines.
 
-Library use::
+One pipeline runs both families — files → per-file rules → (with
+``project``) flow rules → sorted findings::
 
-    from repro.lint import lint_paths, lint_project
+    from repro.lint import lint_paths
 
-    findings = lint_paths(["src"])      # per-file rules, [] when clean
-    findings = lint_project(["src"])    # + RL007/RL008/RL009
+    findings = lint_paths(["src"])                  # [] when clean
+    findings = lint_paths(["src"], project=True)    # + RL007/RL008/RL009
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, load_baseline, write_baseline
-from .config import LintConfig, load_config
-from .engine import (
-    PARSE_ERROR_RULE,
-    flow_findings,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_project,
-    lint_source,
-)
-from .findings import Finding
-from .flow import (
-    DEFAULT_CACHE_PATH,
-    ProjectModel,
-    SummaryCache,
-    build_project,
-)
-from .rules import (
-    FileContext,
-    FlowRule,
-    Rule,
-    all_flow_rules,
-    all_rules,
-    known_rule_ids,
-    register,
-    register_flow,
-    select_flow_rules,
-    select_rules,
-)
+from .engine import flow_findings, iter_python_files, lint_paths, lint_source
+from .rules import all_flow_rules, all_rules
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_CACHE_PATH",
-    "Finding",
-    "FileContext",
-    "FlowRule",
-    "LintConfig",
-    "PARSE_ERROR_RULE",
-    "ProjectModel",
-    "Rule",
-    "SummaryCache",
     "all_flow_rules",
     "all_rules",
-    "build_project",
     "flow_findings",
     "iter_python_files",
-    "known_rule_ids",
-    "lint_file",
     "lint_paths",
-    "lint_project",
     "lint_source",
-    "load_baseline",
-    "load_config",
-    "register",
-    "register_flow",
-    "select_flow_rules",
-    "select_rules",
-    "write_baseline",
 ]

@@ -1,17 +1,17 @@
 """The ``repro-lint`` console script.
 
-Exit codes follow the PR 1 CLI convention: 0 for a clean tree, 1 when
-findings are reported, 2 for usage/configuration/IO failures — the
-latter always as a one-line error on stderr, never a traceback.
+Exit codes follow the ``repro`` CLI convention: 0 for a clean tree, 1
+when findings are reported, 2 for usage/IO failures (a missing path,
+an unknown rule id) — the latter always as a one-line error on
+stderr, never a traceback.
 
+Five options: the paths to lint (default ``src/`` when it exists, else
+``.``), ``--format``, ``--rule``, ``--project`` and ``--list-rules``.
 ``--project`` adds the whole-program flow rules (RL007 shard-race,
 RL008 iteration-order, RL009 fingerprint-purity) on top of the
-per-file checks, linking every module into one call graph.  Flow
-analysis reuses per-module summaries through an mtime+sha256 cache
-(``.repro-lint-cache.json``; ``--no-cache`` disables, ``--cache FILE``
-relocates).  ``--write-baseline``/``--baseline`` snapshot and subtract
-known findings so a tree can gate on *new* regressions while paying
-down recorded debt.
+per-file checks, linking every module into one call graph and reusing
+per-module summaries through an mtime+sha256 cache at
+``.repro-lint-cache.json`` in the working directory.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from ..errors import LintError
-from .baseline import load_baseline, write_baseline
-from .config import LintConfig, load_config
-from .engine import flow_findings, iter_python_files, lint_file
-from .flow import DEFAULT_CACHE_PATH, SummaryCache
-from .rules import all_flow_rules, all_rules, select_rules
+from .engine import iter_python_files, lint_paths
+from .rules import all_flow_rules, all_rules
 
 #: Version of the ``--format json`` document layout.
 JSON_SCHEMA_VERSION = 1
@@ -43,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: [tool.repro-lint] "
-        "paths, else src/)",
+        help="files or directories to lint (default: src/ if it exists, "
+        "else .)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -55,40 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only this rule (repeatable; default: all rules)",
     )
     parser.add_argument(
-        "--exclude", action="append", default=[], metavar="GLOB",
-        help="skip files matching this glob (repeatable)",
-    )
-    parser.add_argument(
-        "--config", metavar="FILE", default=None,
-        help="pyproject.toml to read [tool.repro-lint] from "
-        "(default: discovered from the working directory)",
-    )
-    parser.add_argument(
-        "--no-config", action="store_true",
-        help="ignore any [tool.repro-lint] configuration",
-    )
-    parser.add_argument(
         "--project", action="store_true",
         help="also run the project-wide flow rules (RL007+): call-graph "
         "shard-race, iteration-order, and fingerprint-taint analysis",
-    )
-    parser.add_argument(
-        "--cache", metavar="FILE", default=None,
-        help=f"flow summary cache location (default: {DEFAULT_CACHE_PATH}; "
-        "only used with --project)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="re-summarize every module instead of using the flow cache",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="subtract findings recorded in this baseline JSON "
-        "(default: [tool.repro-lint] baseline, if set)",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="record the current findings to FILE and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -108,51 +74,15 @@ def _list_rules() -> int:
     return 0
 
 
-def _default_paths(config: LintConfig) -> tuple[str, ...]:
-    if config.paths:
-        return config.paths
-    if Path("src").is_dir():
-        return ("src",)
-    return (".",)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``repro-lint``; returns the exit code."""
     args = _build_parser().parse_args(argv)
     if args.list_rules:
         return _list_rules()
-    cache: SummaryCache | None = None
+    paths = args.paths or ["src" if Path("src").is_dir() else "."]
     try:
-        if args.no_config:
-            config = LintConfig()
-        else:
-            explicit = Path(args.config) if args.config else None
-            config = load_config(explicit)
-        select = tuple(args.rule) or config.select or None
-        exclude = (*args.exclude, *config.exclude)
-        rules = select_rules(select)
-        files = iter_python_files(args.paths or _default_paths(config), exclude)
-        findings = []
-        for path in files:
-            findings.extend(lint_file(path, rules))
-        if args.project:
-            if not args.no_cache:
-                cache = SummaryCache(Path(args.cache or DEFAULT_CACHE_PATH))
-            findings.extend(flow_findings(files, select, cache))
-            if cache is not None:
-                cache.save()
-        findings.sort()
-        if args.write_baseline:
-            write_baseline(args.write_baseline, findings)
-            print(
-                f"repro-lint: baseline {args.write_baseline} written "
-                f"({len(findings)} finding(s))",
-                file=sys.stderr,
-            )
-            return 0
-        baseline_path = args.baseline or config.baseline
-        if baseline_path:
-            findings = load_baseline(baseline_path).filter(findings)
+        files = iter_python_files(paths)
+        findings = lint_paths(files, args.rule, project=args.project)
     except LintError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2

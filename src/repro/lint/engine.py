@@ -1,4 +1,10 @@
-"""The lint engine: file discovery, parsing, rule dispatch, suppression.
+"""The lint pipeline: files → per-file rules → flow rules → findings.
+
+:func:`lint_paths` is the one pipeline behind ``repro-lint``,
+``repro-verify`` and the test gate: it expands paths into files, runs
+the per-file rules over each, with ``project`` adds the project-wide
+flow rules (RL007+) over the whole file set, and returns the sorted,
+unsuppressed findings.
 
 The engine is deliberately import-light (ast + stdlib only) so the
 linter itself never perturbs the simulation it polices.  Parse failures
@@ -10,56 +16,35 @@ maps to exit code 2.
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..errors import LintError
 from .findings import Finding
-from .rules import FileContext, Rule, select_rules
+from .flow import DEFAULT_CACHE_PATH, SummaryCache, build_project
+from .rules import FileContext, Rule, resolve_rules
 from .suppress import is_suppressed, parse_suppressions
 
 #: Pseudo-rule id for files that do not parse.
 PARSE_ERROR_RULE = "RL000"
 
 
-def _excluded(path: Path, exclude: Sequence[str]) -> bool:
-    posix = path.as_posix()
-    return any(
-        fnmatch(posix, pattern) or fnmatch(path.name, pattern)
-        for pattern in exclude
-    )
-
-
-def iter_python_files(
-    paths: Iterable[str | Path], exclude: Sequence[str] = ()
-) -> list[Path]:
+def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files/directories into the ordered list of files to lint.
 
     Explicitly named files are always included; directories are walked
-    for ``*.py`` with ``exclude`` globs applied.  A path that does not
-    exist raises :class:`LintError`.
+    for ``*.py``.  A path that does not exist raises :class:`LintError`.
     """
     files: list[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(
-                candidate
-                for candidate in sorted(path.rglob("*.py"))
-                if not _excluded(candidate, exclude)
-            )
+            files.extend(sorted(path.rglob("*.py")))
         elif path.is_file():
             files.append(path)
         else:
             raise LintError(f"path does not exist: {path}")
-    seen: set[Path] = set()
-    unique = []
-    for path in files:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
+    return list(dict.fromkeys(files))
 
 
 def lint_source(
@@ -67,7 +52,7 @@ def lint_source(
 ) -> list[Finding]:
     """Lint one in-memory module; returns sorted, unsuppressed findings."""
     if rules is None:
-        rules = select_rules(None)
+        rules, _ = resolve_rules()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -92,7 +77,7 @@ def lint_source(
     return sorted(findings)
 
 
-def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
+def lint_file(path: Path, rules: Sequence[Rule]) -> list[Finding]:
     """Lint one file on disk; unreadable files raise :class:`LintError`."""
     try:
         source = path.read_text(encoding="utf-8")
@@ -103,23 +88,10 @@ def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
     return lint_source(source, str(path), rules)
 
 
-def lint_paths(
-    paths: Iterable[str | Path],
-    select: tuple[str, ...] | None = None,
-    exclude: Sequence[str] = (),
-) -> list[Finding]:
-    """Lint files and directory trees; the library-level entry point."""
-    rules = select_rules(tuple(select) if select else None)
-    findings: list[Finding] = []
-    for path in iter_python_files(paths, exclude):
-        findings.extend(lint_file(path, rules))
-    return findings
-
-
 def flow_findings(
     files: Sequence[Path],
-    select: tuple[str, ...] | None = None,
-    cache: "SummaryCache | None" = None,
+    select: Sequence[str] | None = None,
+    cache: SummaryCache | None = None,
 ) -> list[Finding]:
     """Run the project-wide flow rules (RL007+) over ``files``.
 
@@ -129,10 +101,7 @@ def flow_findings(
     per-file rules — the summaries carry each file's suppression map,
     so cached files never need re-reading.
     """
-    from .flow import build_project
-    from .rules import select_flow_rules
-
-    rules = select_flow_rules(tuple(select) if select else None)
+    _, rules = resolve_rules(select)
     if not rules:
         return []
     project = build_project(files, cache)
@@ -151,21 +120,22 @@ def flow_findings(
     return sorted(findings)
 
 
-def lint_project(
+def lint_paths(
     paths: Iterable[str | Path],
-    select: tuple[str, ...] | None = None,
-    exclude: Sequence[str] = (),
-    cache: "SummaryCache | None" = None,
+    select: Sequence[str] | None = None,
+    project: bool = False,
 ) -> list[Finding]:
-    """Per-file rules plus project-wide flow rules over whole trees.
+    """The lint pipeline over files and directory trees.
 
-    The library-level equivalent of ``repro-lint --project``: findings
-    from both rule families, merged and sorted.
+    ``select`` restricts both rule families to the named ids (all rules
+    when empty).  With ``project`` the flow rules run too, reusing
+    per-module summaries through the cache at :data:`DEFAULT_CACHE_PATH`.
     """
-    files = iter_python_files(paths, exclude)
-    rules = select_rules(tuple(select) if select else None)
-    findings: list[Finding] = []
-    for path in files:
-        findings.extend(lint_file(path, rules))
-    findings.extend(flow_findings(files, select, cache))
+    rules, _ = resolve_rules(select)
+    files = iter_python_files(paths)
+    findings = [finding for path in files for finding in lint_file(path, rules)]
+    if project:
+        cache = SummaryCache(DEFAULT_CACHE_PATH)
+        findings.extend(flow_findings(files, select, cache))
+        cache.save()
     return sorted(findings)

@@ -16,23 +16,13 @@ from __future__ import annotations
 
 from .cache import DEFAULT_CACHE_PATH, SummaryCache
 from .project import ProjectModel, build_project, module_name_for
-from .summarize import (
-    SUMMARY_SCHEMA_VERSION,
-    FunctionSummary,
-    ModuleSummary,
-    summarize_file,
-    summarize_source,
-)
+from .summarize import summarize_source
 
 __all__ = [
     "DEFAULT_CACHE_PATH",
-    "SUMMARY_SCHEMA_VERSION",
-    "FunctionSummary",
-    "ModuleSummary",
     "ProjectModel",
     "SummaryCache",
     "build_project",
     "module_name_for",
-    "summarize_file",
     "summarize_source",
 ]

@@ -962,5 +962,5 @@ def is_timing_source(resolved: str) -> bool:
     """Whether a resolved call name originates wall-clock taint."""
     return (
         resolved.startswith(_TIMING_MODULE + ".")
-        and resolved.split(".")[-1] not in ("observe_rate", "profiled_phase")
+        and resolved.split(".")[-1] != "observe_rate"
     )

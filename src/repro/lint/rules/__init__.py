@@ -1,9 +1,8 @@
 """The rule registry.
 
 Importing this package imports every rule module, which registers its
-rule class via the :func:`~repro.lint.rules.base.register` (per-file)
-or :func:`~repro.lint.rules.base.register_flow` (project-wide)
-decorator.
+rule class — per-file or project-wide — via the
+:func:`~repro.lint.rules.base.register` decorator.
 """
 
 from __future__ import annotations
@@ -21,26 +20,16 @@ from . import (  # noqa: F401  (imported for registration side effects)
 )
 from .base import (
     FileContext,
-    FlowRule,
     Rule,
     all_flow_rules,
     all_rules,
-    known_rule_ids,
-    register,
-    register_flow,
-    select_flow_rules,
-    select_rules,
+    resolve_rules,
 )
 
 __all__ = [
     "FileContext",
-    "FlowRule",
     "Rule",
     "all_flow_rules",
     "all_rules",
-    "known_rule_ids",
-    "register",
-    "register_flow",
-    "select_flow_rules",
-    "select_rules",
+    "resolve_rules",
 ]

@@ -1,11 +1,11 @@
-"""Rule framework: per-file context, the rule base class, the registry."""
+"""Rule framework: per-file context, the rule base classes, the registry."""
 
 from __future__ import annotations
 
 import ast
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, Sequence
 
 from ...errors import LintError
 from ..findings import Finding
@@ -56,19 +56,50 @@ class FileContext:
         """Whether the file lives under a directory called ``name``."""
         return f"/{name}/" in f"/{self.posix}"
 
+    def locate(self, node: ast.AST) -> tuple[str, int, int]:
+        """``(path, line, 1-based column)`` of ``node`` in this file."""
+        return (
+            self.path,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0) + 1,
+        )
 
-class Rule(ABC):
-    """One lint rule: a stable id plus an AST check.
 
-    Subclasses set the class attributes and implement :meth:`visit`;
-    :meth:`exempt` opts whole files out (the quarantine files a rule
-    itself sanctions, e.g. ``rng.py`` for the determinism rule).
-    """
+class _RuleBase(ABC):
+    """What every rule has: a stable id, metadata, and its findings."""
 
     id: ClassVar[str]
     name: ClassVar[str]
     severity: ClassVar[str] = "error"
     description: ClassVar[str]
+
+    def finding(
+        self,
+        path: str,
+        line: int,
+        col: int,
+        message: str,
+        hint: str | None = None,
+    ) -> Finding:
+        """Build a finding of this rule at an explicit location."""
+        return Finding(
+            path=path,
+            line=line,
+            col=col,
+            rule=self.id,
+            severity=self.severity,
+            message=message,
+            hint=hint,
+        )
+
+
+class Rule(_RuleBase):
+    """One per-file lint rule: an AST check over a single module.
+
+    Subclasses set the class attributes and implement :meth:`visit`;
+    :meth:`exempt` opts whole files out (the quarantine files a rule
+    itself sanctions, e.g. ``rng.py`` for the determinism rule).
+    """
 
     def exempt(self, ctx: FileContext) -> bool:
         """Whether this rule skips ``ctx``'s file entirely."""
@@ -83,26 +114,8 @@ class Rule(ABC):
         if not self.exempt(ctx):
             yield from self.visit(ctx)
 
-    def finding(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        message: str,
-        hint: str | None = None,
-    ) -> Finding:
-        """Build a finding for ``node`` in ``ctx``'s file."""
-        return Finding(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=self.id,
-            severity=self.severity,
-            message=message,
-            hint=hint,
-        )
 
-
-class FlowRule(ABC):
+class FlowRule(_RuleBase):
     """One project-wide rule: checks a linked :class:`ProjectModel`.
 
     Flow rules only run under ``repro-lint --project`` — they need the
@@ -111,98 +124,50 @@ class FlowRule(ABC):
     file/line of the offending event.
     """
 
-    id: ClassVar[str]
-    name: ClassVar[str]
-    severity: ClassVar[str] = "error"
-    description: ClassVar[str]
-
     @abstractmethod
     def check_project(self, project) -> Iterator[Finding]:
         """Yield findings for one linked project model."""
 
-    def finding(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        hint: str | None = None,
-    ) -> Finding:
-        """Build a finding at an explicit location."""
-        return Finding(
-            path=path,
-            line=line,
-            col=col,
-            rule=self.id,
-            severity=self.severity,
-            message=message,
-            hint=hint,
-        )
+
+#: Every rule, per-file and project-wide, by id.
+_REGISTRY: dict[str, Rule | FlowRule] = {}
 
 
-_REGISTRY: dict[str, Rule] = {}
-_FLOW_REGISTRY: dict[str, FlowRule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
+def register(cls: type[_RuleBase]) -> type[_RuleBase]:
     """Class decorator adding a rule (by instance) to the registry."""
     _REGISTRY[cls.id] = cls()
     return cls
 
 
-def register_flow(cls: type[FlowRule]) -> type[FlowRule]:
-    """Class decorator adding a flow rule to the project registry."""
-    _FLOW_REGISTRY[cls.id] = cls()
-    return cls
+def resolve_rules(
+    ids: Sequence[str] | None = None,
+) -> tuple[tuple[Rule, ...], tuple[FlowRule, ...]]:
+    """Resolve rule ids to ``(per-file rules, flow rules)``, by id.
+
+    No ids selects every rule.  Ids are case-insensitive; an unknown
+    one raises :class:`LintError` naming the known rules.
+    """
+    keys = set(_REGISTRY)
+    if ids:
+        for rule_id in ids:
+            if rule_id.upper() not in _REGISTRY:
+                known = ", ".join(sorted(_REGISTRY))
+                raise LintError(
+                    f"unknown rule {rule_id!r} (known rules: {known})"
+                )
+        keys = {rule_id.upper() for rule_id in ids}
+    chosen = [rule for key, rule in sorted(_REGISTRY.items()) if key in keys]
+    return (
+        tuple(rule for rule in chosen if isinstance(rule, Rule)),
+        tuple(rule for rule in chosen if isinstance(rule, FlowRule)),
+    )
 
 
 def all_rules() -> tuple[Rule, ...]:
     """Every registered per-file rule, ordered by id."""
-    return tuple(rule for _, rule in sorted(_REGISTRY.items()))
+    return resolve_rules()[0]
 
 
 def all_flow_rules() -> tuple[FlowRule, ...]:
     """Every registered project-wide flow rule, ordered by id."""
-    return tuple(rule for _, rule in sorted(_FLOW_REGISTRY.items()))
-
-
-def known_rule_ids() -> tuple[str, ...]:
-    """Every rule id, per-file and flow, ordered."""
-    return tuple(sorted({*_REGISTRY, *_FLOW_REGISTRY}))
-
-
-def select_rules(ids: tuple[str, ...] | None) -> tuple[Rule, ...]:
-    """Resolve rule ids to per-file rules.
-
-    With explicit ids, unknown ones raise :class:`LintError` — unless
-    the id names a flow rule, which is simply not a per-file rule and
-    resolves to nothing here (the CLI selects flow rules separately).
-    """
-    if not ids:
-        return all_rules()
-    rules = []
-    for rule_id in ids:
-        key = rule_id.upper()
-        if key in _FLOW_REGISTRY:
-            continue
-        if key not in _REGISTRY:
-            known = ", ".join(known_rule_ids())
-            raise LintError(f"unknown rule {rule_id!r} (known rules: {known})")
-        rules.append(_REGISTRY[key])
-    return tuple(dict.fromkeys(rules))
-
-
-def select_flow_rules(ids: tuple[str, ...] | None) -> tuple[FlowRule, ...]:
-    """Resolve rule ids to flow rules (unknown ids raise, like above)."""
-    if not ids:
-        return all_flow_rules()
-    rules = []
-    for rule_id in ids:
-        key = rule_id.upper()
-        if key in _REGISTRY:
-            continue
-        if key not in _FLOW_REGISTRY:
-            known = ", ".join(known_rule_ids())
-            raise LintError(f"unknown rule {rule_id!r} (known rules: {known})")
-        rules.append(_FLOW_REGISTRY[key])
-    return tuple(dict.fromkeys(rules))
+    return resolve_rules()[1]

@@ -68,7 +68,7 @@ class DeterminismRule(Rule):
                     alias.name == "urandom" for alias in node.names
                 ):
                     yield self.finding(
-                        ctx, node,
+                        *ctx.locate(node),
                         "os.urandom is nondeterministic",
                         hint=_HINT_RNG,
                     )
@@ -80,7 +80,7 @@ class DeterminismRule(Rule):
     ) -> Finding:
         hint = _HINT_CLOCK if module == "time" else _HINT_RNG
         return self.finding(
-            ctx, node,
+            *ctx.locate(node),
             f"import of nondeterministic module {module!r}",
             hint=hint,
         )
@@ -93,7 +93,9 @@ class DeterminismRule(Rule):
             return
         if name in _BANNED_CALLS:
             yield self.finding(
-                ctx, node, f"call to nondeterministic {name}", hint=_HINT_RNG
+                *ctx.locate(node),
+                f"call to nondeterministic {name}",
+                hint=_HINT_RNG,
             )
             return
         parts = name.split(".")
@@ -103,14 +105,14 @@ class DeterminismRule(Rule):
             and parts[-2] in _CLOCK_BASES
         ):
             yield self.finding(
-                ctx, node,
+                *ctx.locate(node),
                 f"wall-clock read via {name}",
                 hint=_HINT_CLOCK,
             )
             return
         if len(parts) >= 3 and parts[-3] in {"np", "numpy"} and parts[-2] == "random":
             yield self.finding(
-                ctx, node,
+                *ctx.locate(node),
                 f"direct numpy RNG construction/use via {name}",
                 hint=_HINT_RNG,
             )

@@ -96,7 +96,7 @@ class UnitHygieneRule(Rule):
                         and abs(abs(side.value) - _ABS_ZERO) < 1e-9
                     ):
                         yield self.finding(
-                            ctx, node,
+                            *ctx.locate(node),
                             "inline Celsius/kelvin offset arithmetic",
                             hint=(
                                 "use units.celsius_to_kelvin / "
@@ -126,7 +126,7 @@ class UnitHygieneRule(Rule):
             magnitude = abs(literal.value)
             if 0.0 < magnitude < threshold:
                 yield self.finding(
-                    ctx, literal,
+                    *ctx.locate(literal),
                     (
                         f"bare literal {literal.value!r} bound to "
                         f"unit-suffixed name {name!r}"

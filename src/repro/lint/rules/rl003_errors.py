@@ -58,7 +58,7 @@ class ErrorTaxonomyRule(Rule):
                 name = _exception_name(node.exc)
                 if name in _BANNED_RAISES:
                     yield self.finding(
-                        ctx, node,
+                        *ctx.locate(node),
                         f"raise of bare builtin {name}",
                         hint=_HINT,
                     )
@@ -68,7 +68,7 @@ class ErrorTaxonomyRule(Rule):
                 if is_broad and _is_noop_body(node.body):
                     caught = name or "everything"
                     yield self.finding(
-                        ctx, node,
+                        *ctx.locate(node),
                         f"except clause catching {caught} swallows the error",
                         hint=(
                             "narrow the exception type or handle/re-raise "

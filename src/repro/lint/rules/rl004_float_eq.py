@@ -49,7 +49,7 @@ class FloatEqualityRule(Rule):
                 left, right = operands[index], operands[index + 1]
                 if _is_float_literal(left) or _is_float_literal(right):
                     yield self.finding(
-                        ctx, node,
+                        *ctx.locate(node),
                         "exact ==/!= comparison against a float literal",
                         hint=_HINT,
                     )

@@ -100,7 +100,7 @@ class ObsContractRule(Rule):
                 continue  # dynamic expression; nothing checkable
             if complete and not known(name):
                 yield self.finding(
-                    ctx, node.args[0],
+                    *ctx.locate(node.args[0]),
                     f"{family} name {name!r} is not in the repro.obs.names "
                     "taxonomy",
                     hint="declare the name (or its family prefix) in "
@@ -110,7 +110,7 @@ class ObsContractRule(Rule):
                 name.startswith(p) for p in prefixes
             ):
                 yield self.finding(
-                    ctx, node.args[0],
+                    *ctx.locate(node.args[0]),
                     f"dynamic {family} name must open with a declared "
                     f"family prefix ({', '.join(prefixes)})",
                     hint="declare the family prefix in repro/obs/names.py",
@@ -134,7 +134,7 @@ class ObsContractRule(Rule):
                     for decorator in node.decorator_list
                 ):
                     yield self.finding(
-                        ctx, node,
+                        *ctx.locate(node),
                         "experiment run() is not registered through "
                         "experiments.common",
                         hint="decorate run() with "

@@ -5,10 +5,10 @@ the narrower, sharper line for *clock reads* specifically — including
 in harness code (tools, benchmarks) where importing :mod:`time` is
 legitimate for ``time.sleep``.  A direct ``time.time()`` /
 ``time.perf_counter()`` call scatters untracked timing through the
-codebase: the profiling hooks cannot see it, the disabled-observability
+codebase: the profiling hook cannot see it, the disabled-observability
 zero-overhead guarantee cannot account for it, and manifests cannot
 strip it.  Every duration measurement must come from
-:func:`repro.obs.timing.wall_clock` (or the hooks built on it), so
+:func:`repro.obs.timing.wall_clock` (or the hook built on it), so
 there is exactly one clock to audit.
 
 ``time.sleep`` stays legal — it spends time rather than reading it.
@@ -41,7 +41,7 @@ _CLOCK_FNS = {
 
 _HINT = (
     "measure durations with repro.obs.timing.wall_clock (or the "
-    "profiled_phase/observe_rate hooks)"
+    "observe_rate hook)"
 )
 
 
@@ -64,7 +64,7 @@ class TimingRule(Rule):
                     for alias in node.names:
                         if alias.name in _CLOCK_FNS:
                             yield self.finding(
-                                ctx, node,
+                                *ctx.locate(node),
                                 f"import of clock reader "
                                 f"time.{alias.name}",
                                 hint=_HINT,
@@ -80,7 +80,7 @@ class TimingRule(Rule):
                     and parts[1] in _CLOCK_FNS
                 ):
                     yield self.finding(
-                        ctx, node,
+                        *ctx.locate(node),
                         f"direct clock read via {name}()",
                         hint=_HINT,
                     )

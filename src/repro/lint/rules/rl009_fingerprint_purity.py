@@ -24,7 +24,7 @@ from typing import Iterator
 
 from ..findings import Finding
 from ..flow import taint
-from .base import FlowRule, register_flow
+from .base import FlowRule, register
 
 _HINT = (
     "emit timing through perf.*/exec.* metrics or phases[].wall_s "
@@ -41,7 +41,7 @@ def _describe(sink) -> str:
     return f"fingerprinted metric {sink.field!r}"
 
 
-@register_flow
+@register
 class FingerprintPurityRule(FlowRule):
     id = "RL009"
     name = "fingerprint-purity"

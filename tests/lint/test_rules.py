@@ -15,7 +15,7 @@ def _lint_json(capsys, tmp_path, source: str, *extra: str):
     """Lint one tmp module via the CLI; returns (exit code, JSON doc)."""
     module = tmp_path / "candidate.py"
     module.write_text(source, encoding="utf-8")
-    code = cli.main([str(module), "--format", "json", "--no-config", *extra])
+    code = cli.main([str(module), "--format", "json", *extra])
     doc = json.loads(capsys.readouterr().out)
     return code, doc
 
