@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.engine import active_engine, forced_engine
 from repro.circuits.sram import SramArray, SramParameters
 from repro.errors import CalibrationError, CircuitError
 from repro.units import celsius_to_kelvin
@@ -246,3 +247,220 @@ class TestPropertyBased:
         b.power_down()
         b.elapse_unpowered(long, 300.0)
         assert b.restore_power() <= a.restore_power() + 1e-9
+
+
+class BitPerCellSram:
+    """Reference model: the same physics with one ``uint8`` per cell.
+
+    This is the unpacked layout ``SramArray`` used before it stored its
+    image packed.  It manufactures its fields through the same engine
+    calls in the same order and applies the DRV mask on every voltage
+    event (no early-out), so an identically seeded pair must agree on
+    every result, every error and every image.
+    """
+
+    def __init__(self, n_bits, params, seed, name):
+        engine = active_engine()
+        self.name = name
+        self.params = params
+        self.n_bits = n_bits
+        self.rng = np.random.default_rng(seed)
+        self.drv = engine.gaussian_field(
+            self.rng, n_bits, params.drv_mean_v, params.drv_sigma_v, 0.01
+        )
+        self.threshold = engine.gaussian_field(
+            self.rng,
+            n_bits,
+            params.restore_mean_v,
+            params.restore_sigma_v,
+            0.005,
+        )
+        self.wake_p = engine.wake_field(
+            self.rng,
+            n_bits,
+            params.noisy_fraction,
+            SramArray.WAKE_SKEW_EPSILON,
+        )
+        self.bits = np.zeros(n_bits, dtype=np.uint8)
+        self.powered = False
+        self.supply_v = 0.0
+        self.fraction = 1.0
+        self.off_v = 0.0
+
+    def _fail(self, message):
+        raise CircuitError(f"{self.name}: {message}")
+
+    def _range(self, start, count):
+        if count is None:
+            count = self.n_bits - start
+        if start < 0 or count < 0 or start + count > self.n_bits:
+            self._fail(
+                f"bit range [{start}, {start + count}) exceeds "
+                f"{self.n_bits} bits"
+            )
+        return start, count
+
+    def _powerup(self):
+        return active_engine().powerup(
+            self.rng, self.wake_p.astype(np.float32)
+        )
+
+    def _collapse(self, voltage):
+        engine = active_engine()
+        lost = engine.drv_collapse_mask(self.drv, voltage)
+        if not lost.any():
+            return 0
+        self.bits = engine.select(lost, self._powerup(), self.bits)
+        return int(lost.sum())
+
+    def power_up(self, voltage=None):
+        self.bits = self._powerup()
+        self.powered = True
+        self.supply_v = self.params.nominal_v if voltage is None else voltage
+        self.fraction = 1.0
+
+    def power_down(self):
+        if not self.powered:
+            self._fail("already unpowered")
+        self.off_v, self.powered, self.supply_v = self.supply_v, False, 0.0
+        self.fraction = 1.0
+
+    def elapse_unpowered(self, seconds, temperature_k):
+        if self.powered:
+            self._fail("array is powered; nothing decays")
+        self.fraction *= self.params.decay.surviving_fraction(
+            seconds, temperature_k
+        )
+
+    def restore_power(self, voltage=None):
+        if self.powered:
+            self._fail("already powered")
+        engine = active_engine()
+        retained = engine.restore_mask(
+            self.off_v * self.fraction, self.threshold
+        )
+        self.bits = engine.select(retained, self.bits, self._powerup())
+        self.powered = True
+        self.supply_v = self.params.nominal_v if voltage is None else voltage
+        self.fraction = 1.0
+        self._collapse(self.supply_v)
+        return float(np.mean(retained))
+
+    def set_supply_voltage(self, voltage):
+        if not self.powered:
+            self._fail("cannot set voltage while unpowered")
+        lost = self._collapse(voltage)
+        self.supply_v = voltage
+        return lost
+
+    def age(self, years, duty_cycle):
+        if not self.powered:
+            self._fail("cannot age while unpowered")
+        eps = SramArray.WAKE_SKEW_EPSILON
+        self.wake_p = active_engine().age_wake(
+            self.wake_p,
+            self.bits,
+            SramArray.AGING_SHIFT_PER_YEAR * years * duty_cycle,
+            eps / 2,
+            1.0 - eps / 2,
+        )
+
+    def read_bits(self, start=0, count=None):
+        if not self.powered:
+            self._fail("cannot read while unpowered")
+        start, count = self._range(start, count)
+        return self.bits[start : start + count].copy()
+
+    def write_bits(self, start, values):
+        if not self.powered:
+            self._fail("cannot write while unpowered")
+        values = np.asarray(values, dtype=np.uint8) & 1
+        start, count = self._range(start, len(values))
+        self.bits[start : start + count] = values
+
+    def read_bytes(self, offset=0, count=None):
+        if count is None:
+            count = self.n_bits // 8 - offset
+        bits = self.read_bits(offset * 8, count * 8)
+        return np.packbits(bits, bitorder="little").tobytes()
+
+    def write_bytes(self, offset, data):
+        raw = np.frombuffer(bytes(data), dtype=np.uint8)
+        self.write_bits(offset * 8, np.unpackbits(raw, bitorder="little"))
+
+    def fill_bytes(self, value):
+        self.write_bytes(0, bytes([value & 0xFF]) * (self.n_bits // 8))
+
+
+DIFF_BITS = 8 * 40
+# Half the voltages land near the array's largest DRV (~0.33 V for 320
+# cells), where the collapse early-out and the mask disagree if either
+# is wrong.
+_volts = st.floats(min_value=0.05, max_value=1.0) | st.floats(
+    min_value=0.28, max_value=0.40
+)
+_bit = st.integers(min_value=-9, max_value=DIFF_BITS + 9)
+_byte = st.integers(min_value=-2, max_value=DIFF_BITS // 8 + 2)
+SRAM_OPS = st.one_of(
+    st.tuples(
+        st.just("read_bits"), _bit, st.none() | st.integers(0, 90)
+    ),
+    st.tuples(
+        st.just("write_bits"), _bit, st.lists(st.integers(0, 3), max_size=90)
+    ),
+    st.tuples(st.just("read_bytes"), _byte, st.none() | st.integers(-1, 12)),
+    st.tuples(st.just("write_bytes"), _byte, st.binary(max_size=12)),
+    st.tuples(st.just("fill_bytes"), st.integers(0, 255)),
+    st.tuples(st.just("power_up"), st.none() | _volts),
+    st.tuples(st.just("power_down")),
+    st.tuples(
+        st.just("elapse_unpowered"),
+        st.floats(min_value=1e-7, max_value=1e-3),
+        st.sampled_from([250.0, 300.0]),
+    ),
+    st.tuples(st.just("restore_power"), st.none() | _volts),
+    st.tuples(st.just("set_supply_voltage"), _volts),
+    st.tuples(
+        st.just("age"),
+        st.floats(min_value=0.0, max_value=5.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+
+
+def _outcome(target, op):
+    name, *args = op
+    try:
+        result = getattr(target, name)(*args)
+    except CircuitError as exc:
+        return "error", str(exc)
+    if isinstance(result, np.ndarray):
+        return "ok", result.dtype.str, result.tolist()
+    return "ok", result
+
+
+class TestPackedMatchesBitPerCellModel:
+    @pytest.mark.parametrize("engine", ["vector", "scalar"])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        ops=st.lists(SRAM_OPS, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_interleavings_agree(self, engine, seed, ops):
+        params = SramParameters()
+        with forced_engine(engine):
+            packed = SramArray(
+                DIFF_BITS, params, np.random.default_rng(seed), name="diff"
+            )
+            model = BitPerCellSram(DIFF_BITS, params, seed, name="diff")
+            for op in [("power_up", None), *ops]:
+                assert _outcome(packed, op) == _outcome(model, op), op
+                assert packed.powered == model.powered
+                assert packed.supply_voltage == (
+                    model.supply_v if model.powered else 0.0
+                )
+                if model.powered:
+                    assert packed.image().tolist() == model.bits.tolist()
+            assert packed.wake_probabilities().tolist() == (
+                model.wake_p.astype(np.float32).tolist()
+            )

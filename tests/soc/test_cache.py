@@ -236,3 +236,89 @@ class TestPropertyBased:
             mirror[addr : addr + len(payload)] = payload
         cache.clean_invalidate_all()
         assert bytes(backing.data[:0x1000]) == bytes(mirror[:0x1000])
+
+
+class RecordingBacking:
+    """Backing store stub: deterministic line data, every write recorded."""
+
+    def __init__(self) -> None:
+        self.writes: list[tuple[int, bytes]] = []
+
+    def read_block(self, addr: int, size: int) -> bytes:
+        return bytes((addr * 7 + i) & 0xFF for i in range(size))
+
+    def write_block(self, addr: int, data: bytes) -> None:
+        self.writes.append((addr, bytes(data)))
+
+
+def per_line_maintenance(cache, write_back: bool) -> None:
+    """The per-(set, way) loop the bulk maintenance operations replace."""
+    g = cache.geometry
+    for index in range(g.sets):
+        for way in range(g.ways):
+            entry = index * g.ways + way
+            tag, valid, dirty, _ns = cache.tags.read(entry)
+            if write_back and valid and dirty:
+                cache.backing.write_block(
+                    (tag << (g.offset_bits + g.index_bits))
+                    | (index << g.offset_bits),
+                    cache._read_line(way, index),
+                )
+            cache.tags.clear_valid(entry)
+
+
+def _twin_caches(line_interleave: bool, seed: int, enabled: bool):
+    """Two identical caches, each over its own recording backing store.
+
+    A disabled pair keeps the random power-up tag image (valid, dirty
+    and tag bits all garbage); an enabled pair is driven by the same
+    random traffic, leaving clean, dirty and invalid lines behind.
+    """
+    pair = [
+        make_cache(
+            RecordingBacking(),
+            size_bytes=2048,
+            ways=4,
+            seed=seed,
+            enabled=enabled,
+            line_interleave=line_interleave,
+        )
+        for _ in range(2)
+    ]
+    rng = np.random.default_rng(seed)
+    if enabled:
+        for _ in range(60):
+            addr = int(rng.integers(0, 0x4000))
+            size = int(rng.integers(1, 100))
+            write = rng.random() < 0.5
+            for cache in pair:
+                if write:
+                    cache.write(addr, bytes(size))
+                else:
+                    cache.read(addr, size)
+    for cache in pair:
+        cache.backing.writes.clear()
+    return pair
+
+
+class TestBulkMaintenanceMatchesPerLine:
+    @pytest.mark.parametrize("line_interleave", [False, True])
+    @pytest.mark.parametrize("enabled", [False, True])
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize(
+        "operation, write_back",
+        [("invalidate_all", False), ("clean_invalidate_all", True)],
+    )
+    def test_same_tag_image_and_write_backs(
+        self, operation, write_back, seed, enabled, line_interleave
+    ):
+        bulk, reference = _twin_caches(line_interleave, seed, enabled)
+        assert bulk.tags.sram.read_bytes() == reference.tags.sram.read_bytes()
+        getattr(bulk, operation)()
+        per_line_maintenance(reference, write_back)
+        assert bulk.tags.sram.read_bytes() == reference.tags.sram.read_bytes()
+        assert bulk.backing.writes == reference.backing.writes
+        if write_back and enabled:
+            assert bulk.backing.writes  # the traffic left dirty lines
+        for way in range(bulk.geometry.ways):
+            assert bulk.raw_way_image(way) == reference.raw_way_image(way)
