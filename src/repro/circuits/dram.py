@@ -70,6 +70,18 @@ class DramArray:
     The charge state is tracked as a normalised level in [0, 1]; a cell
     reads as its written value while its level exceeds 0.5 and as its
     ground state (0 for true cells, 1 for anti-cells) once decayed.
+
+    Manufacture is lazy but stream-preserving.  The anti-cell mask is
+    drawn at construction; the lognormal retention field is drawn from
+    the same stream on the first :meth:`elapse_unpowered`.  The stream
+    has no other consumer, so the deferred draw takes exactly the
+    values an eager one would, and a module that never decays (most
+    boards) never pays for it.
+
+    Until that first decay the charge is one scalar for every cell:
+    0.0 factory-fresh, 1.0 refreshed (every :meth:`restore_power`
+    recharges every cell, and writes only happen while powered).  The
+    first decay widens it to a per-cell ``float16`` level.
     """
 
     def __init__(
@@ -85,21 +97,15 @@ class DramArray:
         self.params = params or DramParameters()
         self._rng = rng if rng is not None else from_entropy(0)
         self._n_bits = int(n_bits)
-        engine = active_engine()
-        self._anticell = engine.uniform_mask(
+        self._anticell = active_engine().uniform_mask(
             self._rng, self._n_bits, self.params.anticell_fraction
         )
-        # Per-cell retention multiplier (lognormal around 1.0); float16
-        # keeps megabyte-scale modules affordable.
-        self._retention_scale = engine.lognormal_field(
-            self._rng, self._n_bits, self.params.retention_spread
-        )
-        # float32 widening of the retention field, cached because every
-        # decay step divides by it; the field is fixed at manufacture.
-        self._scale32 = self._retention_scale.astype(np.float32)
+        # float32 widening of the per-cell retention multiplier, drawn on
+        # the first decay (every decay step divides by it).
+        self._scale32: np.ndarray | None = None
         # Modules start fully discharged (factory-fresh, unpowered).
         self._bits = self._ground_state()
-        self._level = np.zeros(self._n_bits, dtype=np.float16)
+        self._charge: float | np.ndarray = 0.0
         self._powered = False
 
     @property
@@ -147,9 +153,16 @@ class DramArray:
         if self._powered:
             raise CircuitError(f"{self.name}: refresh is active; nothing decays")
         tau = self.params.decay.time_constant(temperature_k)
-        self._level = active_engine().charge_decay(
-            self._level, seconds, tau, self._scale32
-        )
+        engine = active_engine()
+        if self._scale32 is None:
+            # Sampled at float16 like every cell field, widened once.
+            self._scale32 = engine.lognormal_field(
+                self._rng, self._n_bits, self.params.retention_spread
+            ).astype(np.float32)
+        level = self._charge
+        if not isinstance(level, np.ndarray):
+            level = np.full(self._n_bits, level, dtype=np.float16)
+        self._charge = engine.charge_decay(level, seconds, tau, self._scale32)
         if OBS.enabled:
             OBS.gauge_set("dram.tau_s", tau, array=self.name)
 
@@ -171,15 +184,19 @@ class DramArray:
         # "perf." gauge is stripped from manifest fingerprints; the
         # disabled path reads no clock.
         start = wall_clock() if OBS.enabled else 0.0
-        engine = active_engine()
-        retained = engine.charge_mask(self._level)
-        ground = self._ground_state()
-        self._bits = engine.select(retained, self._bits, ground)
-        # Refresh recharges every cell; 1.0 is exact at float16, so the
-        # narrower fill is value-identical to the old float64 one.
-        self._level = np.ones(self._n_bits, dtype=np.float16)
+        if isinstance(self._charge, np.ndarray):
+            engine = active_engine()
+            retained = engine.charge_mask(self._charge)
+            self._bits = engine.select(retained, self._bits, self._ground_state())
+            kept = int(np.count_nonzero(retained))
+        else:
+            # Uniform charge: a refreshed module keeps every cell, and a
+            # factory-fresh one already holds its ground state.
+            kept = self._n_bits if self._charge else 0
+        fraction = kept / self._n_bits
+        # Refresh recharges every cell.
+        self._charge = 1.0
         self._powered = True
-        fraction = float(np.mean(retained))
         if OBS.enabled:
             observe_rate(
                 "dram.decay", self._n_bits, wall_clock() - start,
@@ -189,9 +206,7 @@ class DramArray:
                 "dram.retained_fraction", fraction, array=self.name
             )
             OBS.counter_inc(
-                "dram.cells_decayed",
-                int(self._n_bits - int(retained.sum())),
-                array=self.name,
+                "dram.cells_decayed", self._n_bits - kept, array=self.name
             )
         return fraction
 
@@ -229,7 +244,7 @@ class DramArray:
         return np.packbits(bits, bitorder="little").tobytes()
 
     def write_bytes(self, offset: int, data: bytes) -> None:
-        """Write ``data`` at byte ``offset``; written cells recharge."""
+        """Write ``data`` at byte ``offset`` (powered, so fully charged)."""
         if not self._powered:
             raise CircuitError(f"{self.name}: cannot write while unpowered")
         raw = np.frombuffer(bytes(data), dtype=np.uint8)
@@ -237,7 +252,6 @@ class DramArray:
         bits = np.unpackbits(raw, bitorder="little")
         lo, hi = offset * 8, offset * 8 + len(bits)
         self._bits[lo:hi] = bits
-        self._level[lo:hi] = 1.0
 
     def image(self) -> np.ndarray:
         """Snapshot of the current logical bit image."""

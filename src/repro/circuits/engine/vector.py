@@ -116,13 +116,14 @@ class VectorEngine:
         numpy.ndarray
             ``float16[n]`` wake probabilities.
         """
-        skewed = np.where(
-            rng.integers(0, 2, n, dtype=np.uint8) == 1,
-            np.float32(1.0 - epsilon),
-            np.float32(epsilon),
-        )
+        skew = rng.integers(0, 2, n, dtype=np.uint8)
         noisy = rng.random(n) < noisy_fraction
-        return np.where(noisy, np.float32(0.5), skewed).astype(np.float16)
+        # One float16 lookup per cell, indexed by skew | (noisy << 1);
+        # the entries are the float32 constants rounded to float16.
+        table = np.array(
+            [epsilon, 1.0 - epsilon, 0.5, 0.5], dtype=np.float32
+        ).astype(np.float16)
+        return table[skew | (noisy.view(np.uint8) << 1)]
 
     def uniform_mask(
         self, rng: np.random.Generator, n: int, fraction: float

@@ -186,9 +186,10 @@ def _chaos_overhead(seed: int) -> float:
     :class:`~repro.chaos.inject.ChaosInjector` held on the runtime
     hook — so every unit pays the full supervision tax: the
     ``runtime.run_unit`` choke point plus a fault-table scan that
-    matches nothing.  Dividing this entry's wall time by the bare
-    entry's gives the supervision overhead ratio the robustness
-    acceptance gate bounds at 1.05 (see ``docs/robustness.md``).
+    matches nothing.  Dividing this entry's fastest of k interleaved
+    runs by the bare entry's gives the supervision overhead ratio the
+    robustness acceptance gate bounds at 1.05 (see
+    ``docs/robustness.md``).
     """
     from ..chaos.inject import ChaosInjector
     from ..exec import runtime
@@ -237,6 +238,21 @@ QUICK_WORKLOADS: tuple[QuickWorkload, ...] = (
 )
 
 
+#: The supervision-overhead pair: (bare, supervised) workload names.
+_OVERHEAD_PAIR = ("quick.exec-engine", "quick.chaos-overhead")
+
+#: Interleaved (bare, supervised) runs behind the overhead ratio; the
+#: ratio divides the minima, so one noisy run cannot cross the bound.
+_OVERHEAD_PAIRS = 5
+
+
+def _timed(workload: QuickWorkload, seed: int) -> tuple[float, float]:
+    """Run ``workload`` once; returns ``(units, wall seconds)``."""
+    start = wall_clock()
+    units = workload.fn(seed)
+    return units, wall_clock() - start
+
+
 def run_quick_suite(seed: int) -> list[BenchEntry]:
     """Time every quick workload; returns ``source: "quick"`` entries.
 
@@ -244,14 +260,23 @@ def run_quick_suite(seed: int) -> list[BenchEntry]:
     ``speedup`` block dividing the scalar leg's wall time by its own —
     the honest, same-host, same-work vector-vs-scalar engine ratio the
     acceptance gate reads.  ``quick.chaos-overhead`` likewise carries
-    its wall time divided by the bare ``quick.exec-engine`` leg's —
-    the supervision-overhead ratio bounded by the robustness gate.
+    the supervision-overhead ratio bounded by the robustness gate:
+    both legs run as ``_OVERHEAD_PAIRS`` interleaved (bare, supervised)
+    pairs, both entries report their fastest run, and the ratio is
+    min(supervised) / min(bare).
     """
+    by_workload = {workload.name: workload for workload in QUICK_WORKLOADS}
+    runs: dict[str, list[tuple[float, float]]] = {
+        name: [] for name in _OVERHEAD_PAIR
+    }
+    for _ in range(_OVERHEAD_PAIRS):
+        for name in _OVERHEAD_PAIR:
+            runs[name].append(_timed(by_workload[name], seed))
     entries = []
     for workload in QUICK_WORKLOADS:
-        start = wall_clock()
-        units = workload.fn(seed)
-        wall_s = wall_clock() - start
+        timings = runs.get(workload.name) or [_timed(workload, seed)]
+        units = timings[0][0]
+        wall_s = min(wall for _, wall in timings)
         if units <= 0.0:
             raise PerfError(
                 f"quick workload {workload.name} processed no units"
@@ -274,8 +299,8 @@ def run_quick_suite(seed: int) -> list[BenchEntry]:
             "vs_scalar_engine": scalar.wall_s / vector.wall_s,
             "scalar_wall_s": scalar.wall_s,
         }
-    supervised = by_name.get("quick.chaos-overhead")
-    bare = by_name.get("quick.exec-engine")
+    bare = by_name.get(_OVERHEAD_PAIR[0])
+    supervised = by_name.get(_OVERHEAD_PAIR[1])
     if supervised is not None and bare is not None and bare.wall_s > 0.0:
         supervised.speedup = {
             "supervised_overhead_ratio": supervised.wall_s / bare.wall_s,

@@ -27,6 +27,7 @@ from ..errors import MemoryMapError
 ENTRY_BYTES = 16
 
 _VALID_BIT = 1 << 127
+_VALID_BYTE, _VALID_BYTE_BIT = divmod(_VALID_BIT.bit_length() - 1, 8)
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,14 @@ class _EntryArray:
         )
 
     def invalidate_all(self) -> None:
-        """Drop every valid bit (contents stay, like cache maintenance)."""
-        for index in range(self.entries):
-            self._write_word(index, self._read_word(index) & ~_VALID_BIT)
+        """Drop every valid bit (contents stay, like cache maintenance).
+
+        One read and one write of the entry RAM; only the valid bits
+        change, as if each entry were cleared in turn.
+        """
+        image = np.frombuffer(self.sram.read_bytes(), np.uint8).copy()
+        image[_VALID_BYTE::ENTRY_BYTES] &= 0xFF ^ (1 << _VALID_BYTE_BIT)
+        self.sram.write_bytes(0, image.tobytes())
 
     def raw_image(self) -> bytes:
         """The raw entry RAM — what RAMINDEX hands the attacker."""

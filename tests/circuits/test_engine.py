@@ -190,6 +190,22 @@ class TestKernelDifferential:
         )
 
 
+class TestWakeFieldTable:
+    """The vector wake field is a float16 table lookup; its bit patterns
+    must match the scalar reference exactly, for every cell class."""
+
+    @pytest.mark.parametrize("noisy_fraction", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("epsilon", [0.005, 0.3])
+    def test_bit_patterns_match_scalar(self, noisy_fraction, epsilon):
+        n = 1001  # not a multiple of 8
+        r1, r2 = pair("wake-bits", str(noisy_fraction), str(epsilon))
+        fast = VECTOR.wake_field(r1, n, noisy_fraction, epsilon)
+        slow = SCALAR.wake_field(r2, n, noisy_fraction, epsilon)
+        assert fast.dtype == slow.dtype == np.float16
+        assert fast.view(np.uint16).tolist() == slow.view(np.uint16).tolist()
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+
 class TestKernelProperties:
     """Hypothesis sweeps: equivalence holds over random parameters."""
 

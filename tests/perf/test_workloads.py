@@ -41,3 +41,47 @@ class TestQuickSuite:
         assert vector.speedup["vs_scalar_engine"] > 1.0
         assert vector.speedup["scalar_wall_s"] == scalar.wall_s
         assert scalar.speedup is None
+
+    def test_overhead_ratio_divides_minima_of_interleaved_pairs(
+        self, monkeypatch
+    ):
+        from repro.perf import workloads
+
+        # Scripted wall times (exact in binary): the slow outliers must
+        # not count.
+        durations = {
+            "bare": iter([4.0, 2.0, 2.5, 16.0, 3.0]),
+            "supervised": iter([2.5, 16.0, 2.0625, 2.25, 3.0]),
+        }
+        clock = [0.0]
+        calls = []
+
+        def leg(name):
+            def run(seed):
+                calls.append(name)
+                clock[0] += next(durations[name])
+                return 4.0
+
+            return run
+
+        monkeypatch.setattr(workloads, "wall_clock", lambda: clock[0])
+        monkeypatch.setattr(
+            workloads,
+            "QUICK_WORKLOADS",
+            (
+                workloads.QuickWorkload(
+                    "quick.chaos-overhead", "units_per_s", leg("supervised")
+                ),
+                workloads.QuickWorkload(
+                    "quick.exec-engine", "units_per_s", leg("bare")
+                ),
+            ),
+        )
+        supervised, bare = workloads.run_quick_suite(seed=13)
+        assert calls == ["bare", "supervised"] * 5
+        assert (bare.wall_s, supervised.wall_s) == (2.0, 2.0625)
+        assert supervised.speedup == {
+            "supervised_overhead_ratio": 1.03125,
+            "bare_wall_s": 2.0,
+        }
+        assert bare.rates == {"units_per_s": 2.0}

@@ -142,3 +142,38 @@ class TestBtb:
         assert any(
             e.branch_pc == 0xABCD0 and e.target_pc == 0xABC00 for e in entries
         )
+
+
+def _invalidate_per_entry(array):
+    """Reference: clear the valid bit of each entry in turn."""
+    for index in range(array.entries):
+        array._write_word(index, array._read_word(index) & ~(1 << 127))
+
+
+def _drive(array, rng):
+    for _ in range(array.entries // 2):
+        a, b = (int(v) for v in rng.integers(0, 2**40, 2))
+        if isinstance(array, Tlb):
+            array.insert(asid=a & 0xFFFF, vpn=a, ppn=b)
+        else:
+            array.record(branch_pc=a, target_pc=b)
+
+
+class TestBulkInvalidate:
+    @pytest.mark.parametrize("kind", [Tlb, Btb])
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_entry_loop(self, kind, driven, seed):
+        bulk, loop = (
+            kind(32, SramParameters(), np.random.default_rng(seed))
+            for _ in range(2)
+        )
+        for array in (bulk, loop):
+            array.sram.power_up()  # random power-up garbage
+            if driven:
+                _drive(array, np.random.default_rng(seed + 100))
+        assert bulk.raw_image() == loop.raw_image()
+        bulk.invalidate_all()
+        _invalidate_per_entry(loop)
+        assert bulk.raw_image() == loop.raw_image()
+        assert not kind.decode_raw_image(bulk.raw_image())
